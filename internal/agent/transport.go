@@ -688,28 +688,6 @@ func (r *Receiver) Addr() string { return r.ln.Addr().String() }
 // all connections drain.
 func (r *Receiver) Events() <-chan trace.Event { return r.events }
 
-// DrainEvents appends events already buffered in the merged stream to
-// buf without blocking, up to max total entries, and returns the
-// extended slice. Batched drivers (replay.DriveTransport) take one
-// event with a blocking receive, then top the batch up from here —
-// amortizing the analyzer's sharded fan-out at high rate while adding
-// no latency when the stream is sparse. Safe to call after the stream
-// closed (it simply stops appending).
-func (r *Receiver) DrainEvents(buf []trace.Event, max int) []trace.Event {
-	for len(buf) < max {
-		select {
-		case ev, ok := <-r.events:
-			if !ok {
-				return buf
-			}
-			buf = append(buf, ev)
-		default:
-			return buf
-		}
-	}
-	return buf
-}
-
 // States is the merged state-update stream. It closes with the receiver.
 func (r *Receiver) States() <-chan StateUpdate { return r.states }
 

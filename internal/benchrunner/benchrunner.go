@@ -40,7 +40,7 @@ type Metrics map[string]float64
 // compares, because they survive short-mode workload scaling.
 const EventsPerOp = "events/op"
 
-// Case is one parameterized sub-benchmark of a scenario ("shards=4",
+// Case is one parameterized sub-benchmark of a scenario ("inline",
 // "workers=8"). Run executes exactly one iteration against state the
 // scenario's Setup prepared.
 type Case struct {

@@ -220,22 +220,8 @@ type Config struct {
 	// in event time (default 10m; negative disables age eviction).
 	PairTTL time.Duration
 	// MaxPairs caps each pairing map; when full, the oldest quarter is
-	// evicted (default 65536; negative disables the cap). With ingest
-	// shards the cap is split evenly across shards (ceil(MaxPairs/N) per
-	// shard), preserving the global bound.
+	// evicted (default 65536; negative disables the cap).
 	MaxPairs int
-	// IngestShards partitions the keyed ingest state — pairing maps,
-	// per-API latency summaries and level-shift detectors, TTL/cap
-	// eviction — across this many shards fed by IngestBatch. 0 (the
-	// default) keeps the classic inline path, kept for ablation; negative
-	// uses GOMAXPROCS. Shard outcomes are re-sequenced by event order
-	// before the global window and detection, so reports and evidence
-	// traces are byte-identical across shard counts (shard.go).
-	IngestShards int
-	// IngestBatch is the batch size drivers should feed IngestBatch with
-	// when IngestShards > 0 (default 256). Batching amortizes per-event
-	// dispatch across the shard barrier.
-	IngestBatch int
 }
 
 func (c *Config) defaults(lib *fingerprint.Library) {
@@ -290,12 +276,6 @@ func (c *Config) defaults(lib *fingerprint.Library) {
 	if c.MaxPairs == 0 {
 		c.MaxPairs = 1 << 16
 	}
-	if c.IngestShards < 0 {
-		c.IngestShards = runtime.GOMAXPROCS(0)
-	}
-	if c.IngestShards > 0 && c.IngestBatch <= 0 {
-		c.IngestBatch = 256
-	}
 }
 
 // Stats counts analyzer work for the throughput experiments. Receiver
@@ -326,6 +306,71 @@ type pendingReq struct {
 	api  trace.API
 	seq  uint64 // event sequence, for deterministic eviction tie-breaks
 	node string // responder node, for NodeGap flushes
+}
+
+// latTrack bundles the analyzer's per-API latency state: operator-facing
+// summaries, the level-shift detector bank, the perf-snapshot cooldown
+// clock, and a cache of API string keys (api.String() allocates; the
+// bank is keyed by it on every observation).
+type latTrack struct {
+	bank         *tsoutliers.Bank
+	stats        map[trace.API]*stats.Summary
+	lastPerfSnap map[trace.API]time.Time
+	keys         map[trace.API]string
+	// sumPool slab-allocates the per-API summaries (16 per allocation):
+	// first-observation cost for a new API stays off the per-event
+	// allocation profile.
+	sumPool stats.Pool
+}
+
+func newLatTrack(opt tsoutliers.Options) latTrack {
+	return latTrack{
+		bank:         tsoutliers.NewBank(opt),
+		stats:        make(map[trace.API]*stats.Summary),
+		lastPerfSnap: make(map[trace.API]time.Time),
+		keys:         make(map[trace.API]string),
+	}
+}
+
+// key returns the cached bank key for an API.
+func (l *latTrack) key(api trace.API) string {
+	k, ok := l.keys[api]
+	if !ok {
+		k = api.String()
+		l.keys[api] = k
+	}
+	return k
+}
+
+// due applies the per-API performance-snapshot cooldown (stamping the
+// clock as a side effect, so call it only when arming is otherwise
+// warranted).
+func (l *latTrack) due(api trace.API, at time.Time, cooldown time.Duration) bool {
+	if cooldown < 0 {
+		return true
+	}
+	if last, ok := l.lastPerfSnap[api]; ok && at.Sub(last) < cooldown {
+		return false
+	}
+	l.lastPerfSnap[api] = at
+	return true
+}
+
+// observe feeds one paired latency to the API's summary and level-shift
+// detector, returning the alarm count and whether a performance
+// snapshot should be armed.
+func (l *latTrack) observe(api trace.API, at time.Time, latency time.Duration, cfg *Config) (alarms int, armPerf bool) {
+	sum := l.stats[api]
+	if sum == nil {
+		sum = l.sumPool.Get()
+		l.stats[api] = sum
+	}
+	sum.Observe(latency.Seconds())
+	hits := l.bank.Observe(l.key(api), at, latency.Seconds())
+	if len(hits) == 0 {
+		return 0, false
+	}
+	return len(hits), cfg.PerfDetection && l.due(api, at, cfg.PerfCooldown)
 }
 
 // Analyzer is the central GRETEL service.
@@ -367,21 +412,10 @@ type Analyzer struct {
 	workersWG     sync.WaitGroup
 	collectorDone chan struct{}
 
-	// Sharded ingest front-end state (shard.go); shards is nil in inline
-	// mode, shardsOff flips after Close stops the workers.
-	shards    []*ingestShard
-	shardsWG  sync.WaitGroup
-	shardsOff bool
-	batchWG   sync.WaitGroup
-	batchBuf  []trace.Event
-	outcomes  []ingestOutcome
-	pairIdx   [][]int32
-	latIdx    [][]int32
-	one       [1]trace.Event
-
 	// Durable event plane (capture.go); capture is nil unless SetCapture
-	// attached a WAL. capturing guards the Ingest⇄IngestBatch routing so
-	// each event is appended exactly once; captureLast is the record
+	// attached a WAL. capturing marks the top-level ingest call, so an
+	// IngestBatch's inner Ingest calls do not append again and each
+	// event is appended exactly once; captureLast is the record
 	// sequence the cursor advances to when the call completes.
 	capture     Capture
 	capturing   bool
@@ -391,9 +425,8 @@ type Analyzer struct {
 
 // New builds an analyzer over a learned fingerprint library. When
 // cfg.DetectWorkers is non-zero the detection worker pool starts
-// immediately, and when cfg.IngestShards is non-zero so does the
-// sharded ingest front-end; call Close to stop them (Flush alone drains
-// the detection pipeline).
+// immediately; call Close to stop it (Flush alone drains the detection
+// pipeline).
 func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 	cfg.defaults(lib)
 	a := &Analyzer{
@@ -407,9 +440,6 @@ func New(lib *fingerprint.Library, cfg Config) *Analyzer {
 	}
 	if cfg.DetectWorkers > 0 {
 		a.startPipeline(cfg.DetectWorkers)
-	}
-	if cfg.IngestShards > 0 {
-		a.startShards(cfg.IngestShards)
 	}
 	return a
 }
@@ -431,21 +461,13 @@ func (a *Analyzer) SetRCA(fn func(*Report) []RootCause) { a.rca = fn }
 func (a *Analyzer) Reports() []*Report { return a.reports }
 
 // Ingest processes one event from the monitoring agents. It must be
-// called from a single goroutine (the event receiver). With the sharded
-// front-end running (Config.IngestShards > 0) the event is routed
-// through a single-event batch so pairing state stays coherent with
-// batched callers; high-rate drivers should call IngestBatch instead.
+// called from a single goroutine (the event receiver).
 func (a *Analyzer) Ingest(ev trace.Event) {
 	if a.capture != nil && !a.capturing {
 		a.capturing = true
 		defer a.endCapture()
 		a.capOne[0] = ev
 		a.captureEvents(a.capOne[:])
-	}
-	if a.shards != nil && !a.shardsOff {
-		a.one[0] = ev
-		a.IngestBatch(a.one[:])
-		return
 	}
 	a.Stats.Events++
 	mEventsIngested.Inc()
@@ -517,15 +539,27 @@ func (a *Analyzer) Ingest(ev trace.Event) {
 	}
 }
 
-// LatencyDetector exposes the per-API latency detector (for experiment
-// plots of the adjusted series and level shifts). With the sharded
-// front-end, the detector lives on the shard that owns the API.
-func (a *Analyzer) LatencyDetector(api trace.API) *tsoutliers.Detector {
-	if s := a.latShard(api); s != nil {
-		if d := s.lat.bank.Detector(api.String()); d != nil {
-			return d
-		}
+// IngestBatch processes a batch of events exactly as a loop of Ingest
+// calls would, but hands the whole batch to the durable capture hook in
+// one append (WAL replay and bulk drivers use it). Like Ingest it must
+// be called from a single goroutine. The batch slice is not retained.
+func (a *Analyzer) IngestBatch(evs []trace.Event) {
+	if len(evs) == 0 {
+		return
 	}
+	if a.capture != nil && !a.capturing {
+		a.capturing = true
+		defer a.endCapture()
+		a.captureEvents(evs)
+	}
+	for _, ev := range evs {
+		a.Ingest(ev)
+	}
+}
+
+// LatencyDetector exposes the per-API latency detector (for experiment
+// plots of the adjusted series and level shifts).
+func (a *Analyzer) LatencyDetector(api trace.API) *tsoutliers.Detector {
 	return a.lat.bank.Detector(api.String())
 }
 
@@ -537,24 +571,9 @@ type APILatency struct {
 
 // LatencySummaries returns per-API latency summaries sorted by p95
 // descending — the operator's view of the deployment's slowest APIs.
-// With the sharded front-end the shards' summaries are merged in; each
-// API lives on exactly one shard, but an inline summary for the same
-// API can exist if events were ingested after Close stopped the shards
-// (the larger count wins).
 func (a *Analyzer) LatencySummaries() []APILatency {
-	merged := make(map[trace.API]*stats.Summary, len(a.lat.stats))
+	out := make([]APILatency, 0, len(a.lat.stats))
 	for api, sum := range a.lat.stats {
-		merged[api] = sum
-	}
-	for _, s := range a.shards {
-		for api, sum := range s.lat.stats {
-			if prev, ok := merged[api]; !ok || sum.Count() > prev.Count() {
-				merged[api] = sum
-			}
-		}
-	}
-	out := make([]APILatency, 0, len(merged))
-	for api, sum := range merged {
 		out = append(out, APILatency{api, sum})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -601,23 +620,6 @@ func (a *Analyzer) NodeGap(node string, missing uint64, at time.Time) {
 		if p.node == node {
 			delete(a.calls, k)
 			flushed++
-		}
-	}
-	// Shard pairing maps are safe to touch here: IngestBatch is
-	// synchronous, so no shard worker is running between calls, and the
-	// next batch's channel send orders these writes before its reads.
-	for _, s := range a.shards {
-		for k, p := range s.pending {
-			if p.node == node {
-				delete(s.pending, k)
-				flushed++
-			}
-		}
-		for k, p := range s.calls {
-			if p.node == node {
-				delete(s.calls, k)
-				flushed++
-			}
 		}
 	}
 	if flushed > 0 {

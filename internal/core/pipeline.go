@@ -138,14 +138,12 @@ func (a *Analyzer) collect() {
 	}
 }
 
-// Close drains the detection pipeline, stops its goroutines, and stops
-// the ingest shard workers (a no-op beyond Flush in inline mode). The
-// analyzer stays usable afterwards — later events pair on the inline
-// maps and faults are detected inline — and Reports/Stats are safe to
-// read once Close returns.
+// Close drains the detection pipeline and stops its goroutines (a no-op
+// beyond Flush in inline mode). The analyzer stays usable afterwards —
+// later faults are detected inline — and Reports/Stats are safe to read
+// once Close returns.
 func (a *Analyzer) Close() {
 	a.Flush()
-	a.stopShards()
 	if a.jobs == nil {
 		return
 	}
@@ -171,10 +169,9 @@ func (a *Analyzer) evictAgedPairs(now time.Time) {
 	a.Stats.PairsEvicted += agePairs(a.pending, cutoff) + agePairs(a.calls, cutoff)
 }
 
-// agePairs drops entries older than the cutoff from one pairing map —
-// the TTL sweep primitive shared by the inline path and the ingest
-// shards. Returns the number evicted (also added to the telemetry
-// counter, but not to Stats: callers own their Stats accounting).
+// agePairs drops entries older than the cutoff from one pairing map.
+// Returns the number evicted (also added to the telemetry counter, but
+// not to Stats: the caller owns the Stats accounting).
 func agePairs[K comparable](m map[K]pendingReq, cutoff time.Time) uint64 {
 	var n uint64
 	for k, p := range m {

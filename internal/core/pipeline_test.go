@@ -28,7 +28,7 @@ func driveFaultyExplain(cfg Config, store *tracestore.Store) *Analyzer {
 }
 
 // faultyScript plays the shared multi-fault stream into a stream
-// helper — also recorded as a plain event slice by the shard tests.
+// helper — also recorded as a plain event slice by ingest_test.go.
 func faultyScript(s *stream) {
 	for i := 0; i < 30; i++ {
 		id := uint64(i * 10)

@@ -199,13 +199,11 @@ func (r *Result) explainCounters(a *core.Analyzer) {
 	}
 }
 
-// Drive pushes the stream through a GRETEL analyzer at full speed. If
-// the analyzer was configured with a detect worker pool
-// (Config.DetectWorkers > 0), detection runs in parallel with ingest,
-// and with a sharded ingest front-end (Config.IngestShards > 0) events
-// are fed in Config.IngestBatch chunks through IngestBatch; Close
-// drains the pipeline before the wall clock stops, so the measured
-// throughput includes finishing every report.
+// Drive pushes the stream through a GRETEL analyzer at full speed, one
+// Ingest call per event. If the analyzer was configured with a detect
+// worker pool (Config.DetectWorkers > 0), detection runs in parallel
+// with ingest; Close drains the pipeline before the wall clock stops,
+// so the measured throughput includes finishing every report.
 func Drive(a *core.Analyzer, events []trace.Event) Result {
 	return DriveFrom(a, events, 0, 0)
 }
@@ -221,32 +219,12 @@ func DriveFrom(a *core.Analyzer, events []trace.Event, skip int, pace time.Durat
 		skip = len(events)
 	}
 	events = events[skip:]
+	const paceEvery = 1000
 	start := time.Now()
-	paceEvery := 1000
-	sincePace := 0
-	step := func(n int) {
-		if pace <= 0 {
-			return
-		}
-		sincePace += n
-		for sincePace >= paceEvery {
-			sincePace -= paceEvery
+	for i := range events {
+		a.Ingest(events[i])
+		if pace > 0 && (i+1)%paceEvery == 0 {
 			time.Sleep(pace)
-		}
-	}
-	if batch := a.Config().IngestBatch; a.Config().IngestShards > 0 && batch > 0 {
-		for lo := 0; lo < len(events); lo += batch {
-			hi := lo + batch
-			if hi > len(events) {
-				hi = len(events)
-			}
-			a.IngestBatch(events[lo:hi])
-			step(hi - lo)
-		}
-	} else {
-		for i := range events {
-			a.Ingest(events[i])
-			step(1)
 		}
 	}
 	a.Close()
@@ -293,30 +271,11 @@ func DriveTransport(a *core.Analyzer, recv *agent.Receiver, onState func(agent.S
 	start := time.Now()
 	var bytes uint64
 	var n int
-	// Batched draining for the sharded front-end: one blocking receive,
-	// then top the batch up with whatever already arrived. Sparse streams
-	// degrade to single-event batches (no added latency).
-	batchMax := 0
-	var batch []trace.Event
-	if cfg := a.Config(); cfg.IngestShards > 0 && cfg.IngestBatch > 1 {
-		batchMax = cfg.IngestBatch
-		batch = make([]trace.Event, 0, batchMax)
-	}
 	for events != nil || states != nil || health != nil {
 		select {
 		case ev, ok := <-events:
 			if !ok {
 				events = nil
-				continue
-			}
-			if batchMax > 0 {
-				batch = append(batch[:0], ev)
-				batch = recv.DrainEvents(batch, batchMax)
-				for i := range batch {
-					bytes += uint64(batch[i].WireBytes)
-				}
-				n += len(batch)
-				a.IngestBatch(batch)
 				continue
 			}
 			n++

@@ -43,11 +43,14 @@ type WALDrive struct {
 	OnBatch func(segment, total int, lastSeq uint64)
 }
 
+// walBatch is DriveWAL's batch size: events per IngestBatch call, and
+// hence per OnBatch progress callback.
+const walBatch = 256
+
 // DriveWAL replays the write-ahead log at dir through the analyzer.
 // Records with sequence in [opt.From, opt.To] (0 = open bound) are fed
-// through IngestBatch in the analyzer's configured batch size (default
-// 256); corrupt or torn records are quarantined by the reader, never
-// fatal.
+// through IngestBatch in batches of walBatch; corrupt or torn records
+// are quarantined by the reader, never fatal.
 //
 // The analyzer is NOT flushed or closed: boot recovery continues
 // driving live events on the same analyzer (flushing here would tear
@@ -61,11 +64,7 @@ func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 	}
 	defer r.Close()
 
-	batchSize := a.Config().IngestBatch
-	if batchSize <= 0 {
-		batchSize = 256
-	}
-	batch := make([]trace.Event, 0, batchSize)
+	batch := make([]trace.Event, 0, walBatch)
 
 	start := time.Now()
 	var res WALResult
@@ -110,7 +109,7 @@ func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 		lastSeq = seq
 		res.Bytes += uint64(ev.WireBytes)
 		batch = append(batch, ev)
-		if len(batch) >= batchSize {
+		if len(batch) >= walBatch {
 			flush()
 		}
 	}

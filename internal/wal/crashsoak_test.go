@@ -235,9 +235,10 @@ func TestCaptureThroughAnalyzer(t *testing.T) {
 	}
 }
 
-// TestCaptureBatchedOnce guards the Ingest⇄IngestBatch routing: with
-// the sharded front-end on, each event must be captured exactly once
-// whichever public entry point it came through.
+// TestCaptureBatchedOnce guards the Ingest⇄IngestBatch routing:
+// IngestBatch captures its batch once and then runs Ingest per event,
+// so each event must still be captured exactly once whichever public
+// entry point it came through.
 func TestCaptureBatchedOnce(t *testing.T) {
 	events := replay.Synthesize(replay.StreamConfig{Concurrency: 50, Events: 600, Seed: 3})
 	dir := t.TempDir()
@@ -245,7 +246,7 @@ func TestCaptureBatchedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := core.New(experiments.BenchLibrary(), core.Config{IngestShards: 2, IngestBatch: 64})
+	a := core.New(experiments.BenchLibrary(), core.Config{})
 	a.SetCapture(l)
 	// Mix entry points: batches and single-event ingests.
 	a.IngestBatch(events[:256])

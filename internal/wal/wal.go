@@ -59,6 +59,7 @@ var (
 	mSynced       = telemetry.GetCounter("wal.synced")
 	mRotated      = telemetry.GetCounter("wal.rotated")
 	mRetired      = telemetry.GetCounter("wal.segments_retired")
+	mAbandoned    = telemetry.GetCounter("wal.segments_abandoned")
 	mRecovered    = telemetry.GetCounter("wal.recovered")
 	mQuarantined  = telemetry.GetCounter("wal.quarantined")
 	mBytesSkipped = telemetry.GetCounter("wal.bytes_skipped")
@@ -131,7 +132,9 @@ func ParseFsync(s string) (Fsync, error) {
 	return 0, fmt.Errorf("wal: unknown fsync policy %q (want none, interval, or every)", s)
 }
 
-// Options tunes the log. The zero value (plus Dir) is production-ready.
+// Options tunes the log. The zero value (plus Dir) is usable but never
+// fsyncs (FsyncNone); production callers pick a policy explicitly —
+// gretel's -wal-fsync flag defaults to interval.
 type Options struct {
 	// Dir is the log directory (created if missing).
 	Dir string
@@ -141,7 +144,7 @@ type Options struct {
 	// SegmentAge rotates a non-empty active segment older than this,
 	// so retention can expire quiet periods too (0 disables).
 	SegmentAge time.Duration
-	// Fsync is the durability policy (default FsyncInterval).
+	// Fsync is the durability policy. The zero value is FsyncNone.
 	Fsync Fsync
 	// FsyncInterval is the FsyncInterval policy's flush period
 	// (default 100ms).
@@ -196,7 +199,8 @@ type segInfo struct {
 
 // Log is the append side. All methods are safe for a single writer
 // goroutine (the analyzer's ingest goroutine); Append never reorders —
-// record sequence numbers are dense and monotonically increasing.
+// record sequence numbers are monotonically increasing, and dense
+// except where a failed append skipped its batch's sequences.
 type Log struct {
 	opts Options
 
@@ -344,7 +348,8 @@ func lastGoodSeq(path string) (uint64, bool, error) {
 	return last, found, nil
 }
 
-// LastSeq returns the highest record sequence acked so far.
+// LastSeq returns the last record sequence assigned: the highest acked,
+// unless the latest append failed (its sequences are skipped).
 func (l *Log) LastSeq() uint64 { return l.nextSeq }
 
 // Dir returns the log directory.
@@ -402,12 +407,10 @@ func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 		return l.nextSeq, err
 	}
 	if _, err := l.bw.Write(l.scratch); err != nil {
-		mAppendErrors.Inc()
-		return l.nextSeq, fmt.Errorf("wal: appending: %w", err)
+		return l.failBatch(len(evs), fmt.Errorf("wal: appending: %w", err))
 	}
 	if err := l.bw.Flush(); err != nil {
-		mAppendErrors.Inc()
-		return l.nextSeq, fmt.Errorf("wal: flushing: %w", err)
+		return l.failBatch(len(evs), fmt.Errorf("wal: flushing: %w", err))
 	}
 	l.nextSeq += uint64(len(evs))
 	l.active.bytes += int64(len(l.scratch))
@@ -423,6 +426,21 @@ func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 		}
 	}
 	return l.nextSeq, nil
+}
+
+// failBatch handles a write or flush error on a batch of n records.
+// bufio latches the error, so the active segment is abandoned — the
+// next append opens a fresh one. Part of the batch may already be on
+// disk intact, so its n sequences are never reused: a reused sequence
+// would shadow the next acked record as a duplicate at recovery, while
+// a skipped one is counted as quarantined. Returns the last acked
+// sequence and err.
+func (l *Log) failBatch(n int, err error) (uint64, error) {
+	mAppendErrors.Inc()
+	acked := l.nextSeq
+	l.nextSeq += uint64(n)
+	l.abandonActive()
+	return acked, err
 }
 
 // rotateIfDue opens the first segment lazily and rotates when the
@@ -468,26 +486,50 @@ func (l *Log) openSegment() error {
 
 // closeActive flushes, fsyncs, and closes the active segment, moving it
 // to the closed list. Closed segments are always fsynced — whatever the
-// append policy, a rotated-away segment is finished evidence.
+// append policy, a rotated-away segment is finished evidence. On a
+// flush or sync error the segment is abandoned instead, so the handles
+// are released either way and the next append starts a fresh segment.
 func (l *Log) closeActive() error {
 	if l.f == nil {
 		return nil
 	}
 	if err := l.bw.Flush(); err != nil {
+		l.abandonActive()
 		return fmt.Errorf("wal: flushing %s: %w", l.active.path, err)
 	}
 	if err := l.f.Sync(); err != nil {
+		l.abandonActive()
 		return fmt.Errorf("wal: syncing %s: %w", l.active.path, err)
 	}
 	l.stats.Synced++
 	mSynced.Inc()
 	l.lastSync = time.Now()
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: closing %s: %w", l.active.path, err)
-	}
+	err := l.f.Close()
 	l.segs = append(l.segs, l.active)
 	l.f, l.bw = nil, nil
+	if err != nil {
+		return fmt.Errorf("wal: closing %s: %w", l.active.path, err)
+	}
 	return nil
+}
+
+// abandonActive drops the active segment after an I/O error. Its acked
+// records stay on disk and it joins the closed list for retention; a
+// segment holding no acked record is removed instead — nothing in it
+// was promised, and its name could collide with the next segment's
+// O_EXCL create.
+func (l *Log) abandonActive() {
+	l.f.Close()
+	l.f, l.bw = nil, nil
+	if l.active.bytes > 0 {
+		l.segs = append(l.segs, l.active)
+	} else if os.Remove(l.active.path) == nil {
+		// A file left by a failed removal holds no acked record and its
+		// sequences are never reused, so recovery stays correct.
+		l.stats.Segments--
+	}
+	mAbandoned.Inc()
+	telemetry.LogFirst("wal.abandon", "wal: abandoned active segment %s after write error", l.active.path)
 }
 
 // retain enforces the byte budget by unlinking closed segments

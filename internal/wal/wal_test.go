@@ -3,9 +3,13 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
@@ -547,5 +551,119 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	if len(got) != 2 || stats.Quarantined != 0 || stats.LastSeq != 2 {
 		t.Fatalf("recovered %d records (quarantined %d, last %d), want 2 clean dense",
 			len(got), stats.Quarantined, stats.LastSeq)
+	}
+}
+
+// diskFull fails one write with ENOSPC once armed, after letting prefix
+// bytes of it reach the file — a disk that fills mid-append and frees
+// space again before the next one.
+type diskFull struct {
+	armed  bool
+	prefix int
+}
+
+func (d *diskFull) wrap(w io.Writer) io.Writer { return diskFullWriter{d, w} }
+
+type diskFullWriter struct {
+	d *diskFull
+	w io.Writer
+}
+
+func (fw diskFullWriter) Write(p []byte) (int, error) {
+	if !fw.d.armed {
+		return fw.w.Write(p)
+	}
+	fw.d.armed = false
+	n, _ := fw.w.Write(p[:min(fw.d.prefix, len(p))])
+	return n, syscall.ENOSPC
+}
+
+// TestAppendRecoversAfterWriteError: one failed append (ENOSPC) must not
+// wedge the log. Once the fault clears, the next Append succeeds and a
+// recovery scan returns every acked record, in order and intact — also
+// when the failed batch left an intact-but-unacked record behind, which
+// must never shadow a later acked record with the same sequence.
+func TestAppendRecoversAfterWriteError(t *testing.T) {
+	cases := []struct {
+		name   string
+		before int  // records acked before the fault
+		torn   bool // one whole record plus a torn one reach the file
+	}{
+		{"first-append-nothing-written", 0, false},
+		{"first-append-torn", 0, true},
+		{"mid-segment-nothing-written", 10, false},
+		{"mid-segment-torn", 10, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			evs := testEvents(c.before + 40)
+			failed := evs[c.before : c.before+5]
+			fault := &diskFull{}
+			if c.torn {
+				body, _ := json.Marshal(&failed[0])
+				fault.prefix = len(encodeRecord(nil, 1, body)) + recHdrLen + 3
+			}
+			dir := t.TempDir()
+			l, err := Open(Options{Dir: dir, WrapWriter: fault.wrap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			abandoned := mAbandoned.Value()
+			var acked []trace.Event
+			for _, ev := range evs[:c.before] {
+				if _, err := l.Append(ev); err != nil {
+					t.Fatal(err)
+				}
+				acked = append(acked, ev)
+			}
+			fault.armed = true
+			if _, err := l.AppendBatch(failed); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("faulted append: err = %v, want ENOSPC", err)
+			}
+			for _, ev := range evs[c.before+5:] {
+				if _, err := l.Append(ev); err != nil {
+					t.Fatalf("append after the fault cleared: %v", err)
+				}
+				acked = append(acked, ev)
+			}
+			if got := mAbandoned.Value() - abandoned; got != 1 {
+				t.Fatalf("wal.segments_abandoned += %d, want 1", got)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			got, stats := readAll(t, dir)
+			failedIDs := map[uint64]bool{}
+			for _, ev := range failed {
+				failedIDs[ev.ConnID] = true
+			}
+			var recovered []trace.Event
+			for _, ev := range got {
+				if !failedIDs[ev.ConnID] {
+					recovered = append(recovered, ev)
+				}
+			}
+			if len(recovered) != len(acked) {
+				t.Fatalf("recovered %d acked records, want %d (stats %+v)", len(recovered), len(acked), stats)
+			}
+			for i := range acked {
+				if !reflect.DeepEqual(recovered[i], acked[i]) {
+					t.Fatalf("acked record %d: got %+v, want %+v", i, recovered[i], acked[i])
+				}
+			}
+			if stats.Duplicates != 0 {
+				t.Fatalf("recovery saw %d duplicate sequences", stats.Duplicates)
+			}
+			segs, err := listSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range segs {
+				if _, ok, _ := lastGoodSeq(s.path); !ok {
+					t.Fatalf("recordless segment %s left behind", s.path)
+				}
+			}
+		})
 	}
 }
