@@ -1,9 +1,9 @@
 // File-side chaos: a seeded, deterministic io.Writer wrapper that does
 // to a WAL segment what a dying disk and a kill -9 do — short writes,
-// a torn record at the kill point, bit flips. The WAL crash soak
-// installs it under the log's buffered writer (wal.Options.WrapWriter)
-// and asserts the recovery invariant recovered + quarantined == written
-// against the faults it injected.
+// a torn record at the kill point, bit flips. The WAL crash soak wraps
+// each segment file with it (wal.Options.WrapWriter) and asserts the
+// recovery invariant recovered + quarantined == written against the
+// faults it injected.
 package chaos
 
 import (

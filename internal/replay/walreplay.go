@@ -16,7 +16,10 @@ import (
 )
 
 // WALResult is DriveWAL's summary: the usual replay accounting plus the
-// recovery scan's quarantine bookkeeping.
+// recovery scan's quarantine bookkeeping. Result.Reports is not counted
+// here: the analyzer is still running when DriveWAL returns, and its
+// detect pool may be appending reports; callers count them after
+// Flush or Close.
 type WALResult struct {
 	Result
 	Recovery wal.ReadStats
@@ -55,8 +58,7 @@ const walBatch = 256
 // The analyzer is NOT flushed or closed: boot recovery continues
 // driving live events on the same analyzer (flushing here would tear
 // windows mid-stream and diverge from an uninterrupted run), and
-// offline reanalysis closes it when done. Reports in the result count
-// only what had been produced when the scan finished.
+// offline reanalysis closes it when done.
 func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 	r, err := wal.OpenReader(dir)
 	if err != nil {
@@ -119,7 +121,6 @@ func DriveWAL(a *core.Analyzer, dir string, opt WALDrive) (WALResult, error) {
 		res.EventsPerSec = float64(res.Events) / res.Wall.Seconds()
 		res.Mbps = float64(res.Bytes) * 8 / 1e6 / res.Wall.Seconds()
 	}
-	res.Reports = len(a.Reports())
 	res.SnapshotsShed = a.Stats.SnapshotsShed
 	r.Close() // finalizes torn-tail attribution before the stats snapshot
 	res.Recovery = r.Stats()

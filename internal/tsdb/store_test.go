@@ -3,16 +3,31 @@ package tsdb
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
+	"gretel/internal/chaos"
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry/export"
 )
+
+// segments lists the store directory's segments.
+func segments(t *testing.T, dir string) []seglog.Segment {
+	t.Helper()
+	segs, err := seglog.List(dir, "tsdb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
 
 func TestParseLineRoundTrip(t *testing.T) {
 	// Everything the export encoder emits must parse back exactly.
@@ -177,12 +192,11 @@ func TestStoreRecoversTornTail(t *testing.T) {
 	}
 
 	// Simulate a crash mid-append: garbage at the end of the segment.
-	names, err := s.listSegments()
-	if err != nil || len(names) != 1 {
-		t.Fatalf("segments: %v %v", names, err)
+	segs := segments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("segments: %v", segs)
 	}
-	path := filepath.Join(dir, names[0])
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(segs[0].Path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +225,10 @@ func TestStoreRecoversTornTail(t *testing.T) {
 }
 
 func TestStoreReopenAfterTornFirstRecord(t *testing.T) {
-	// A crash after rotateIfDue creates a segment but before its first
-	// record flushes leaves a trailing recordless segment named
-	// segName(nextSeq+1) — exactly what the next Write's O_EXCL create
-	// uses. Open must drop it, or every Write after reopen fails EEXIST.
+	// A crash after the writer creates a segment but before its first
+	// record lands leaves a trailing recordless segment named for the
+	// next sequence — exactly what the next Write's O_EXCL create uses.
+	// Open must drop it, or every Write after reopen fails EEXIST.
 	for _, tornBytes := range [][]byte{nil, {0xF5, 0x9E, 'P', 0, 1, 2}} {
 		dir := t.TempDir()
 		s, err := Open(Options{Dir: dir})
@@ -227,9 +241,10 @@ func TestStoreReopenAfterTornFirstRecord(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Simulate the crash: a segment at the next sequence holding no
-		// intact record (empty, or a torn first header).
-		torn := filepath.Join(dir, segName(s.nextSeq+1))
+		// Simulate the crash: a segment at the next sequence (one record
+		// was written) holding no intact record (empty, or a torn first
+		// header).
+		torn := filepath.Join(dir, seglog.SegName("tsdb", 2))
 		if err := os.WriteFile(torn, tornBytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -256,47 +271,72 @@ func TestStoreReopenAfterTornFirstRecord(t *testing.T) {
 	}
 }
 
+// failWrites fails every write with EIO while armed, before any byte
+// reaches the file — a disk that errors and later recovers.
+type failWrites struct{ armed bool }
+
+func (f *failWrites) wrap(w io.Writer) io.Writer {
+	return writerFunc(func(p []byte) (int, error) {
+		if f.armed {
+			return 0, syscall.EIO
+		}
+		return w.Write(p)
+	})
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
 func TestStoreRecoversFromWriteError(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir})
+	fault := &failWrites{}
+	s, err := Open(Options{Dir: dir, wrapWriter: fault.wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, err := s.Write([]byte("m,h=a v=1i 1\n"), time.Unix(0, 0)); err != nil {
+	write := func(v int) error {
+		_, _, err := s.Write([]byte(fmt.Sprintf("m,h=a v=%di %d\n", v, v)), time.Unix(0, 0))
+		return err
+	}
+	if err := write(1); err != nil {
 		t.Fatal(err)
 	}
 
-	// Mid-segment failure: yank the fd so the next flush fails the way a
-	// transient ENOSPC/EIO would. bufio latches the error; the store must
-	// abandon the segment rather than return the sticky error forever.
-	s.f.Close()
-	if _, _, err := s.Write([]byte("m,h=a v=2i 2\n"), time.Unix(0, 0)); err == nil {
-		t.Fatal("write on a dead fd unexpectedly succeeded")
+	// Mid-segment failure (a transient ENOSPC/EIO): the store must
+	// abandon the segment rather than fail every later Write.
+	fault.armed = true
+	if err := write(2); err == nil {
+		t.Fatal("write on a failing disk unexpectedly succeeded")
 	}
-	if s.f != nil {
-		t.Fatal("handles not released after write error")
-	}
-	if _, _, err := s.Write([]byte("m,h=a v=3i 3\n"), time.Unix(0, 0)); err != nil {
-		t.Fatalf("write after abandoning dead segment: %v", err)
+	fault.armed = false
+	if err := write(3); err != nil {
+		t.Fatalf("write after abandoning the failed segment: %v", err)
 	}
 
-	// First-write failure: a segment that never flushed a record must be
-	// removed on abandon, or the next rotation's O_EXCL create of the
-	// same name fails EEXIST.
-	s.f.Close()
-	if _, _, err := s.Write([]byte("m,h=a v=4i 4\n"), time.Unix(0, 0)); err == nil {
-		t.Fatal("second dead-fd write unexpectedly succeeded")
+	// First-write failure: a segment that never took a record must be
+	// removed on abandon, and the next segment's O_EXCL create must not
+	// collide with it. Fail v=4 mid-segment, then v=5 as the first
+	// write of the fresh segment that follows.
+	fault.armed = true
+	if err := write(4); err == nil {
+		t.Fatal("second failing write unexpectedly succeeded")
 	}
-	if err := s.rotateIfDue(time.Unix(0, 0), 1); err != nil {
-		t.Fatal(err)
+	if err := write(5); err == nil {
+		t.Fatal("write into a fresh segment on a failing disk unexpectedly succeeded")
 	}
-	s.f.Close() // fresh segment, zero records flushed
-	if _, _, err := s.Write([]byte("m,h=a v=5i 5\n"), time.Unix(0, 0)); err == nil {
-		t.Fatal("write into closed fresh segment unexpectedly succeeded")
+	fault.armed = false
+	if err := write(6); err != nil {
+		t.Fatalf("write after abandoning a recordless segment: %v", err)
 	}
-	if _, _, err := s.Write([]byte("m,h=a v=6i 6\n"), time.Unix(0, 0)); err != nil {
-		t.Fatalf("write after abandoning recordless segment: %v", err)
+	for _, seg := range segments(t, dir) {
+		if seg.Bytes == 0 {
+			t.Fatalf("recordless segment %s left behind", seg.Path)
+		}
+	}
+	if st := s.Stats(); st.Segments != len(segments(t, dir)) {
+		t.Fatalf("Stats.Segments = %d, %d on disk", st.Segments, len(segments(t, dir)))
 	}
 
 	// Everything durable must survive a reopen, and the abandoned tails
@@ -331,9 +371,89 @@ func TestStorePartitionRotation(t *testing.T) {
 	if _, _, err := s.Write([]byte("m v=3i 3\n"), time.Unix(61, 0)); err != nil {
 		t.Fatal(err)
 	}
-	names, _ := s.listSegments()
-	if len(names) != 2 {
-		t.Fatalf("expected 2 segments after partition rotation, got %v", names)
+	if segs := segments(t, dir); len(segs) != 2 {
+		t.Fatalf("expected 2 segments after partition rotation, got %v", segs)
+	}
+}
+
+// TestStoreTransientWriteErrors runs the WAL crash soak's transient
+// fault schedule against the store: short writes at random, the store
+// writing on after each failed batch. Every acked point must come back
+// on reopen exactly once, and the log must account for every sequence
+// up to its last intact record, with no duplicates.
+func TestStoreTransientWriteErrors(t *testing.T) {
+	const batches, lines = 300, 7
+	var failed int
+	for seed := int64(1); seed <= 20; seed++ {
+		dir := t.TempDir()
+		rng := rand.New(rand.NewSource(seed))
+		wrap := func(w io.Writer) io.Writer {
+			// A fresh seed per segment: a repeated one would replay the
+			// same fault schedule in every segment.
+			return chaos.WrapWriter(w, chaos.WriterConfig{Seed: rng.Int63(), ShortWrite: 0.05})
+		}
+		s, err := Open(Options{Dir: dir, SegmentBytes: 4 << 10, wrapWriter: wrap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked := map[int64]bool{} // point timestamps acked
+		for b := 0; b < batches; b++ {
+			var body strings.Builder
+			for i := 0; i < lines; i++ {
+				fmt.Fprintf(&body, "m v=%di %d\n", b, b*lines+i)
+			}
+			if _, _, err := s.Write([]byte(body.String()), time.Unix(0, 0)); err != nil {
+				failed++
+				continue
+			}
+			for i := 0; i < lines; i++ {
+				acked[int64(b*lines+i)] = true
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]bool{}
+		for _, p := range s2.Query("m", 0, 0) {
+			if seen[p.TimeNS] {
+				t.Fatalf("seed %d: point %d recovered twice", seed, p.TimeNS)
+			}
+			seen[p.TimeNS] = true
+		}
+		for ts := range acked {
+			if !seen[ts] {
+				t.Fatalf("seed %d: acked point %d lost", seed, ts)
+			}
+		}
+		s2.Close()
+
+		sc, err := seglog.OpenScanner(seglog.Options{Dir: dir, Name: "tsdb", Kind: seglog.KindPoints})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, _, err := sc.Next(); err != nil {
+				break
+			}
+		}
+		// Sequences between the first and last intact record are
+		// recovered or quarantined; a torn tail adds the one it tore.
+		st := sc.Stats()
+		want := st.LastSeq - st.FirstSeq + 1
+		if st.TornTail {
+			want++
+		}
+		if st.Duplicates != 0 || st.Records+st.Quarantined != want {
+			t.Fatalf("seed %d: sequences unaccounted for: %+v", seed, st)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("the fault schedule failed no write")
 	}
 }
 

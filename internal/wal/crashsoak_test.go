@@ -6,6 +6,8 @@
 // acked records never lost, nothing silently missing — and when the
 // full stream has finally been captured, replaying the log through the
 // analyzer must produce reports byte-identical to an uninterrupted run.
+// A second phase injects transient write errors instead of kills: the
+// writer lives on and keeps appending after each failed batch.
 //
 // External test package: the soak drives the real replay/core stack,
 // which imports wal.
@@ -182,6 +184,101 @@ func TestWALCrashSoak(t *testing.T) {
 		t.Fatalf("reports after crash recovery differ from uninterrupted run (%d vs %d bytes)",
 			len(fromWAL), len(uninterrupted))
 	}
+
+	soakTransientErrors(t, events)
+}
+
+// soakTransientErrors is the soak's transient-error phase: the disk
+// fails writes short at random and the writer appends on after each
+// failed batch. For every seed, every acked record must be recovered,
+// every recovered record must be the event appended at its sequence,
+// every sequence from the first to the last intact record must be
+// recovered or quarantined, and no sequence may repeat.
+func soakTransientErrors(t *testing.T, events []trace.Event) {
+	const batch = 7
+	var failed, resumed int
+	for seed := int64(1); seed <= 20; seed++ {
+		dir := t.TempDir()
+		rng := rand.New(rand.NewSource(seed))
+		l, err := wal.Open(wal.Options{
+			Dir: dir, SegmentBytes: 64 << 10, Fsync: wal.FsyncNone, RetainBytes: -1,
+			WrapWriter: func(w io.Writer) io.Writer {
+				// A fresh seed per segment: a repeated one would replay the
+				// same fault schedule in every segment.
+				return chaos.WrapWriter(w, chaos.WriterConfig{Seed: rng.Int63(), ShortWrite: 0.05})
+			},
+		})
+		if err != nil {
+			t.Fatalf("seed %d: Open: %v", seed, err)
+		}
+		bySeq := map[uint64]int{} // record sequence -> index into events
+		var acked []uint64
+		afterFailure := false
+		for i := 0; i < len(events); i += batch {
+			evs := events[i:min(i+batch, len(events))]
+			base := l.LastSeq()
+			for j := range evs {
+				bySeq[base+uint64(j)+1] = i + j
+			}
+			last, err := l.AppendBatch(evs)
+			if err != nil {
+				if last != base {
+					t.Fatalf("seed %d: failed batch acked up to %d, want %d", seed, last, base)
+				}
+				failed++
+				afterFailure = true
+				continue
+			}
+			if afterFailure {
+				resumed++
+				afterFailure = false
+			}
+			for seq := base + 1; seq <= last; seq++ {
+				acked = append(acked, seq)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("seed %d: Close: %v", seed, err)
+		}
+
+		r, err := wal.OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered := map[uint64]bool{}
+		for {
+			seq, ev, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("seed %d: Next: %v", seed, err)
+			}
+			i, ok := bySeq[seq]
+			if !ok || ev.ConnID != events[i].ConnID || ev.Seq != events[i].Seq {
+				t.Fatalf("seed %d: record %d is not the event appended at that sequence", seed, seq)
+			}
+			recovered[seq] = true
+		}
+		r.Close()
+		for _, seq := range acked {
+			if !recovered[seq] {
+				t.Fatalf("seed %d: acked record %d lost", seed, seq)
+			}
+		}
+		st := r.Stats()
+		want := st.LastSeq - st.FirstSeq + 1
+		if st.TornTail {
+			want++ // the torn tail's record lies past LastSeq
+		}
+		if st.Duplicates != 0 || st.Records+st.Quarantined != want {
+			t.Fatalf("seed %d: sequences unaccounted for: %+v", seed, st)
+		}
+	}
+	if failed == 0 || resumed == 0 {
+		t.Fatalf("transient phase failed %d batches and resumed after %d", failed, resumed)
+	}
+	t.Logf("transient phase: %d failed batches, writer resumed after %d", failed, resumed)
 }
 
 // TestCaptureThroughAnalyzer wires a real wal.Log into the analyzer's
@@ -193,7 +290,7 @@ func TestCaptureThroughAnalyzer(t *testing.T) {
 		Concurrency: 100, Events: 1500, FaultEvery: 101, Seed: 9,
 	})
 	dir := t.TempDir()
-	l, err := wal.Open(wal.Options{Dir: dir, CursorEvery: 1})
+	l, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

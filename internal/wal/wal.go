@@ -4,27 +4,18 @@
 // explain. Everything else in the analyzer is rebuildable state — the
 // WAL is the one thing that must not die with the process.
 //
-// Records reuse the PR 3 wire-frame format (internal/agent frame.go,
-// wire format v2): two-byte magic, kind tag, big-endian sequence
-// number, length prefix, and a CRC32 (IEEE) over header+body, followed
-// by the JSON-encoded event. A WAL segment is therefore exactly a
-// captured frame stream on disk, and the reader recovers it the same
-// way the transport receiver resynchronizes on the wire: corruption is
-// skipped and counted, never trusted and never fatal.
-//
-//	offset size
-//	0      2    magic 0xF5 0x9E
-//	2      1    kind 'E'
-//	3      8    record sequence number, big-endian (1-based, dense)
-//	11     4    body length, big-endian
-//	15     4    CRC32 (IEEE) over bytes [2,15) and the body
-//	19     n    JSON body (trace.Event)
-//
-// Segments are named wal-<first-seq>.seg and rotate on a size or age
-// bound; retention drops whole closed segments oldest-first to hold a
-// byte budget. Appends are flushed to the OS on every call — a
-// kill -9 after Append returns loses nothing — while fsync (surviving
-// machine crashes) is policy-controlled: none, interval, or every.
+// The log is a thin user of internal/seglog, which owns segments,
+// rotation, retention, fsync, abandon-on-error and recovery. Records
+// are kind 'E' and carry a JSON-encoded trace.Event; their framing is
+// the agent's wire-frame format (internal/agent frame.go, wire format
+// v2), so a WAL segment is exactly a captured frame stream on disk,
+// and the reader recovers it the same way the transport receiver
+// resynchronizes on the wire: corruption is skipped and counted, never
+// trusted and never fatal. Segments are named wal-<first-seq>.seg and
+// rotate on a size bound; retention drops whole closed segments
+// oldest-first to hold a byte budget. On top of the shared log the
+// package adds the JSON body codec, the fsync policy names, and the
+// durable consumer cursor.
 //
 // The recovery invariant, proven by the crash soak: for every record
 // handed to Append, recovery either returns it intact (recovered) or
@@ -33,17 +24,16 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"gretel/internal/seglog"
 	"gretel/internal/telemetry"
 	"gretel/internal/trace"
 )
@@ -54,40 +44,41 @@ import (
 // times Append/AppendBatch calls — the cost the ingest path pays for
 // durability — and wal.replay times full recovery scans.
 var (
-	mAppended     = telemetry.GetCounter("wal.appended")
+	segMetrics = seglog.Metrics{
+		Appended:     telemetry.GetCounter("wal.appended"),
+		Synced:       telemetry.GetCounter("wal.synced"),
+		Rotated:      telemetry.GetCounter("wal.rotated"),
+		Retired:      telemetry.GetCounter("wal.segments_retired"),
+		Abandoned:    telemetry.GetCounter("wal.segments_abandoned"),
+		Quarantined:  telemetry.GetCounter("wal.quarantined"),
+		BytesSkipped: telemetry.GetCounter("wal.bytes_skipped"),
+		Scan:         telemetry.GetHistogram("wal.replay"),
+	}
 	mAppendErrors = telemetry.GetCounter("wal.append_errors")
-	mSynced       = telemetry.GetCounter("wal.synced")
-	mRotated      = telemetry.GetCounter("wal.rotated")
-	mRetired      = telemetry.GetCounter("wal.segments_retired")
-	mAbandoned    = telemetry.GetCounter("wal.segments_abandoned")
 	mRecovered    = telemetry.GetCounter("wal.recovered")
-	mQuarantined  = telemetry.GetCounter("wal.quarantined")
-	mBytesSkipped = telemetry.GetCounter("wal.bytes_skipped")
 	mCursorSaves  = telemetry.GetCounter("wal.cursor_saves")
 	hAppend       = telemetry.GetHistogram("wal.append")
-	hReplay       = telemetry.GetHistogram("wal.replay")
 )
 
-// Record layout constants — byte-identical to the agent wire format so
-// a WAL segment is a valid frame stream (tested against agent.ReadEvent).
-const (
-	recMagic0 = 0xF5
-	recMagic1 = 0x9E
-	recKind   = 'E'
-	recHdrLen = 19
-	// MaxRecord bounds one encoded record, defending the reader against
-	// corrupt length prefixes (same bound as agent.MaxFrame).
-	MaxRecord = 1 << 22
-)
+// MaxRecord bounds one encoded event (the shared record bound).
+const MaxRecord = seglog.MaxRecord
 
 const (
-	segPrefix = "wal-"
-	segSuffix = ".seg"
+	// fsyncInterval is the FsyncInterval policy's flush period.
+	fsyncInterval = 100 * time.Millisecond
+	// cursorEvery persists the consumer cursor after this many
+	// MarkProcessed advances; it is always persisted on Sync and Close.
+	cursorEvery = 4096
 	// cursorFile holds the durable consumer cursor: the highest record
 	// sequence the analyzer has fully processed. Written atomically
 	// (tmp + rename) so a crash never leaves a torn cursor.
 	cursorFile = "CURSOR"
 )
+
+// segOptions is the shared log's view of a WAL directory.
+func segOptions(dir string) seglog.Options {
+	return seglog.Options{Dir: dir, Name: "wal", Kind: seglog.KindEvent, Metrics: segMetrics}
+}
 
 // Fsync selects the durability policy for appends.
 type Fsync uint8
@@ -97,8 +88,8 @@ const (
 	// survive a process kill) but a machine crash can lose the page
 	// cache. The fastest policy.
 	FsyncNone Fsync = iota
-	// FsyncInterval calls fsync at most once per Options.FsyncInterval,
-	// bounding machine-crash loss to that window.
+	// FsyncInterval calls fsync at most once per 100ms, bounding
+	// machine-crash loss to that window.
 	FsyncInterval
 	// FsyncEvery calls fsync on every Append/AppendBatch: nothing acked
 	// is ever lost, at one disk flush per call.
@@ -141,247 +132,90 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it would exceed this
 	// size (default 8 MiB).
 	SegmentBytes int64
-	// SegmentAge rotates a non-empty active segment older than this,
-	// so retention can expire quiet periods too (0 disables).
-	SegmentAge time.Duration
 	// Fsync is the durability policy. The zero value is FsyncNone.
 	Fsync Fsync
-	// FsyncInterval is the FsyncInterval policy's flush period
-	// (default 100ms).
-	FsyncInterval time.Duration
 	// RetainBytes drops closed segments oldest-first once the log
 	// exceeds this budget (default 1 GiB; negative retains everything).
 	RetainBytes int64
-	// CursorEvery persists the consumer cursor after this many
-	// MarkProcessed advances (default 4096; it is always persisted on
-	// Sync and Close).
-	CursorEvery uint64
-	// WrapWriter, when set, wraps the segment file before the buffered
-	// writer — the chaos tests inject torn writes, short writes, and
-	// bit flips here. Sync still reaches the underlying file.
+	// WrapWriter, when set, wraps each segment file as it is created —
+	// the chaos tests inject torn writes, short writes, and bit flips
+	// here. Sync still reaches the underlying file.
 	WrapWriter func(io.Writer) io.Writer
 }
 
-func (o *Options) defaults() {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
-	if o.RetainBytes == 0 {
-		o.RetainBytes = 1 << 30
-	}
-	if o.CursorEvery == 0 {
-		o.CursorEvery = 4096
-	}
-}
-
 // Stats is a point-in-time view of the log's write-side accounting.
-type Stats struct {
-	// Appended counts records acked by Append/AppendBatch this session.
-	Appended uint64
-	// Synced counts fsync calls; Rotated counts segment rotations;
-	// Retired counts whole segments dropped by retention.
-	Synced, Rotated, Retired uint64
-	// Segments is the current on-disk segment count (active included);
-	// Bytes is their total size.
-	Segments int
-	Bytes    int64
-}
-
-// segInfo is one on-disk segment the log tracks for retention.
-type segInfo struct {
-	path     string
-	firstSeq uint64
-	bytes    int64
-}
+type Stats = seglog.Stats
 
 // Log is the append side. All methods are safe for a single writer
 // goroutine (the analyzer's ingest goroutine); Append never reorders —
 // record sequence numbers are monotonically increasing, and dense
 // except where a failed append skipped its batch's sequences.
 type Log struct {
-	opts Options
-
-	segs     []segInfo // closed segments, oldest first
-	f        *os.File
-	bw       *bufio.Writer
-	active   segInfo
-	openedAt time.Time
-	lastSync time.Time
-
-	nextSeq uint64 // last assigned record sequence
+	w       *seglog.Writer
+	dir     string
 	scratch []byte
 
 	cursor          uint64 // highest record seq marked processed
 	cursorPersisted uint64
-
-	stats Stats
 }
 
-// segName renders the canonical segment file name for a first sequence.
-func segName(firstSeq uint64) string {
-	return fmt.Sprintf("%s%020d%s", segPrefix, firstSeq, segSuffix)
-}
-
-// parseSegName extracts the first sequence from a segment file name.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
+// Open opens (or creates) the log at opts.Dir for appending. The
+// sequence continues after the last intact record on disk, in a fresh
+// segment; trailing segments holding no intact record (a crash tore
+// their first append) are removed.
+func Open(opts Options) (*Log, error) {
+	so := segOptions(opts.Dir)
+	so.SegmentBytes = opts.SegmentBytes
+	if so.SegmentBytes <= 0 {
+		so.SegmentBytes = 8 << 20
 	}
-	mid := name[len(segPrefix) : len(name)-len(segSuffix)]
-	seq, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
+	so.RetainBytes = opts.RetainBytes
+	if so.RetainBytes == 0 {
+		so.RetainBytes = 1 << 30
 	}
-	return seq, true
-}
-
-// listSegments returns the directory's segments sorted by first
-// sequence (which is also creation order).
-func listSegments(dir string) ([]segInfo, error) {
-	entries, err := os.ReadDir(dir)
+	so.SyncEvery = opts.Fsync == FsyncEvery
+	if opts.Fsync == FsyncInterval {
+		so.SyncInterval = fsyncInterval
+	}
+	so.WrapWriter = opts.WrapWriter
+	w, err := seglog.Open(so)
 	if err != nil {
 		return nil, err
 	}
-	var segs []segInfo
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		first, ok := parseSegName(e.Name())
-		if !ok {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		segs = append(segs, segInfo{path: filepath.Join(dir, e.Name()), firstSeq: first, bytes: info.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-	return segs, nil
-}
-
-// Open opens (or creates) the log at opts.Dir for appending. Existing
-// segments are preserved: the writer scans backwards for the last
-// intact record and continues the sequence after it, always starting a
-// fresh segment — it never appends to a file a crash may have torn.
-// Trailing segments holding no intact record at all (a crash tore
-// their first append) are removed so the next segment's name cannot
-// collide with them.
-func Open(opts Options) (*Log, error) {
-	opts.defaults()
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("wal: Options.Dir is required")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: creating %s: %w", opts.Dir, err)
-	}
-	segs, err := listSegments(opts.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: listing %s: %w", opts.Dir, err)
-	}
-	l := &Log{opts: opts}
-	// Resume the sequence after the last intact record on disk.
-	resume := -1 // index of the newest segment holding an intact record
-	for i := len(segs) - 1; i >= 0; i-- {
-		last, ok, err := lastGoodSeq(segs[i].path)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			l.nextSeq = last
-			resume = i
-			break
-		}
-	}
-	// Segments newer than the resume point hold no intact record: a
-	// crash tore their very first append (or created them and died
-	// before any write). They must go, or openSegment's next file name
-	// — segName(nextSeq+1), exactly the torn segment's name — would
-	// collide on O_EXCL and fail every future append. Recovery returns
-	// nothing from them (any scan before this Open has counted their
-	// ink as a torn tail), and removal makes the torn sequence get
-	// reused by the next append exactly as it is after a mid-segment
-	// tear, keeping sequences dense.
-	for _, s := range segs[resume+1:] {
-		if err := os.Remove(s.path); err != nil {
-			return nil, fmt.Errorf("wal: removing recordless segment %s: %w", s.path, err)
-		}
-		telemetry.LogFirst("wal.recordless", "wal: dropped recordless torn segment %s (%d bytes)", s.path, s.bytes)
-	}
-	l.segs = segs[:resume+1]
-	l.stats.Segments = len(l.segs)
-	for _, s := range l.segs {
-		l.stats.Bytes += s.bytes
-	}
-	l.cursor = loadCursor(opts.Dir)
-	if l.cursor > l.nextSeq {
-		// The cursor can run ahead of the durable log when the final
-		// record was torn after being processed; clamp so MarkProcessed
-		// stays monotonic against replayed sequences.
-		l.cursor = l.nextSeq
-	}
-	l.cursorPersisted = l.cursor
-	return l, nil
-}
-
-// lastGoodSeq scans one segment for its last CRC-intact record.
-func lastGoodSeq(path string) (uint64, bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, fmt.Errorf("wal: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	var last uint64
-	found := false
-	for {
-		seq, _, _, err := readRecord(br, nil)
-		if err != nil {
-			break
-		}
-		last, found = seq, true
-	}
-	return last, found, nil
+	// The cursor can run ahead of the durable log when the final record
+	// was torn after being processed; clamp so MarkProcessed stays
+	// monotonic against replayed sequences.
+	cursor := min(loadCursor(opts.Dir), w.LastSeq())
+	return &Log{w: w, dir: opts.Dir, cursor: cursor, cursorPersisted: cursor}, nil
 }
 
 // LastSeq returns the last record sequence assigned: the highest acked,
 // unless the latest append failed (its sequences are skipped).
-func (l *Log) LastSeq() uint64 { return l.nextSeq }
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.opts.Dir }
+func (l *Log) LastSeq() uint64 { return l.w.LastSeq() }
 
 // Stats snapshots the write-side accounting.
-func (l *Log) Stats() Stats { return l.stats }
+func (l *Log) Stats() Stats { return l.w.Stats() }
 
 // Cursor returns the durable consumer cursor loaded at Open and
 // advanced by MarkProcessed: the highest record sequence the consumer
 // has fully processed.
 func (l *Log) Cursor() uint64 { return l.cursor }
 
-// encodeRecord appends one encoded event record to buf and returns it.
-func encodeRecord(buf []byte, seq uint64, body []byte) []byte {
-	return EncodeRecord(buf, recKind, seq, body)
-}
-
 // Append encodes and appends one event, returning its record sequence.
-// The record is flushed to the OS before Append returns (a process kill
-// after the ack loses nothing); fsync follows the configured policy.
+// The record reaches the OS before Append returns (a process kill after
+// the ack loses nothing); fsync follows the configured policy.
 func (l *Log) Append(ev trace.Event) (uint64, error) {
 	return l.AppendBatch([]trace.Event{ev})
 }
 
-// AppendBatch appends a batch of events as consecutive records with one
-// flush (and at most one fsync), returning the last record sequence.
+// AppendBatch appends a batch of events as consecutive records in one
+// write (and at most one fsync), returning the last record sequence.
 // On error the batch may be partially durable; the sequence reflects
 // only what was acked, and recovery quarantines any torn remainder.
 func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
+	base := l.w.LastSeq()
 	if len(evs) == 0 {
-		return l.nextSeq, nil
+		return base, nil
 	}
 	span := hAppend.Start()
 	defer span.End()
@@ -390,7 +224,7 @@ func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 		body, err := json.Marshal(&evs[i])
 		if err != nil {
 			mAppendErrors.Inc()
-			return l.nextSeq, fmt.Errorf("wal: encoding event: %w", err)
+			return base, fmt.Errorf("wal: encoding event: %w", err)
 		}
 		if len(body) > MaxRecord {
 			// The reader unconditionally skips any length prefix over
@@ -398,185 +232,21 @@ func (l *Log) AppendBatch(evs []trace.Event) (uint64, error) {
 			// unrecoverable — refuse the whole batch before any byte of
 			// it is written.
 			mAppendErrors.Inc()
-			return l.nextSeq, fmt.Errorf("wal: encoded event is %d bytes, over the %d-byte record bound", len(body), MaxRecord)
+			return base, fmt.Errorf("wal: encoded event is %d bytes, over the %d-byte record bound", len(body), MaxRecord)
 		}
-		l.scratch = encodeRecord(l.scratch, l.nextSeq+uint64(i)+1, body)
+		l.scratch = seglog.EncodeRecord(l.scratch, seglog.KindEvent, base+uint64(i)+1, body)
 	}
-	if err := l.rotateIfDue(int64(len(l.scratch))); err != nil {
-		mAppendErrors.Inc()
-		return l.nextSeq, err
-	}
-	if _, err := l.bw.Write(l.scratch); err != nil {
-		return l.failBatch(len(evs), fmt.Errorf("wal: appending: %w", err))
-	}
-	if err := l.bw.Flush(); err != nil {
-		return l.failBatch(len(evs), fmt.Errorf("wal: flushing: %w", err))
-	}
-	l.nextSeq += uint64(len(evs))
-	l.active.bytes += int64(len(l.scratch))
-	l.stats.Bytes += int64(len(l.scratch))
-	l.stats.Appended += uint64(len(evs))
-	mAppended.Add(uint64(len(evs)))
-	switch l.opts.Fsync {
-	case FsyncEvery:
-		return l.nextSeq, l.fsync()
-	case FsyncInterval:
-		if time.Since(l.lastSync) >= l.opts.FsyncInterval {
-			return l.nextSeq, l.fsync()
-		}
-	}
-	return l.nextSeq, nil
-}
-
-// failBatch handles a write or flush error on a batch of n records.
-// bufio latches the error, so the active segment is abandoned — the
-// next append opens a fresh one. Part of the batch may already be on
-// disk intact, so its n sequences are never reused: a reused sequence
-// would shadow the next acked record as a duplicate at recovery, while
-// a skipped one is counted as quarantined. Returns the last acked
-// sequence and err.
-func (l *Log) failBatch(n int, err error) (uint64, error) {
-	mAppendErrors.Inc()
-	acked := l.nextSeq
-	l.nextSeq += uint64(n)
-	l.abandonActive()
-	return acked, err
-}
-
-// rotateIfDue opens the first segment lazily and rotates when the
-// active segment would exceed the size bound or has exceeded the age
-// bound. need is the byte size of the write about to happen.
-func (l *Log) rotateIfDue(need int64) error {
-	if l.f != nil {
-		over := l.active.bytes > 0 && l.active.bytes+need > l.opts.SegmentBytes
-		aged := l.opts.SegmentAge > 0 && l.active.bytes > 0 && time.Since(l.openedAt) >= l.opts.SegmentAge
-		if !over && !aged {
-			return nil
-		}
-		if err := l.closeActive(); err != nil {
-			return err
-		}
-		l.stats.Rotated++
-		mRotated.Inc()
-		l.retain()
-	}
-	return l.openSegment()
-}
-
-// openSegment creates the next active segment, named for the first
-// sequence it will hold.
-func (l *Log) openSegment() error {
-	name := segName(l.nextSeq + 1)
-	path := filepath.Join(l.opts.Dir, name)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	last, err := l.w.Append(l.scratch, len(evs))
 	if err != nil {
-		return fmt.Errorf("wal: creating segment %s: %w", path, err)
-	}
-	l.f = f
-	var w io.Writer = f
-	if l.opts.WrapWriter != nil {
-		w = l.opts.WrapWriter(f)
-	}
-	l.bw = bufio.NewWriterSize(w, 64<<10)
-	l.active = segInfo{path: path, firstSeq: l.nextSeq + 1}
-	l.openedAt = time.Now()
-	l.stats.Segments++
-	return nil
-}
-
-// closeActive flushes, fsyncs, and closes the active segment, moving it
-// to the closed list. Closed segments are always fsynced — whatever the
-// append policy, a rotated-away segment is finished evidence. On a
-// flush or sync error the segment is abandoned instead, so the handles
-// are released either way and the next append starts a fresh segment.
-func (l *Log) closeActive() error {
-	if l.f == nil {
-		return nil
-	}
-	if err := l.bw.Flush(); err != nil {
-		l.abandonActive()
-		return fmt.Errorf("wal: flushing %s: %w", l.active.path, err)
-	}
-	if err := l.f.Sync(); err != nil {
-		l.abandonActive()
-		return fmt.Errorf("wal: syncing %s: %w", l.active.path, err)
-	}
-	l.stats.Synced++
-	mSynced.Inc()
-	l.lastSync = time.Now()
-	err := l.f.Close()
-	l.segs = append(l.segs, l.active)
-	l.f, l.bw = nil, nil
-	if err != nil {
-		return fmt.Errorf("wal: closing %s: %w", l.active.path, err)
-	}
-	return nil
-}
-
-// abandonActive drops the active segment after an I/O error. Its acked
-// records stay on disk and it joins the closed list for retention; a
-// segment holding no acked record is removed instead — nothing in it
-// was promised, and its name could collide with the next segment's
-// O_EXCL create.
-func (l *Log) abandonActive() {
-	l.f.Close()
-	l.f, l.bw = nil, nil
-	if l.active.bytes > 0 {
-		l.segs = append(l.segs, l.active)
-	} else if os.Remove(l.active.path) == nil {
-		// A file left by a failed removal holds no acked record and its
-		// sequences are never reused, so recovery stays correct.
-		l.stats.Segments--
-	}
-	mAbandoned.Inc()
-	telemetry.LogFirst("wal.abandon", "wal: abandoned active segment %s after write error", l.active.path)
-}
-
-// retain enforces the byte budget by unlinking closed segments
-// oldest-first. The active segment is never touched: retention can
-// only drop finished history, not in-flight capture.
-func (l *Log) retain() {
-	if l.opts.RetainBytes < 0 {
-		return
-	}
-	for len(l.segs) > 0 && l.stats.Bytes > l.opts.RetainBytes {
-		old := l.segs[0]
-		if err := os.Remove(old.path); err != nil {
-			telemetry.LogFirst("wal.retain", "wal: dropping %s: %v", old.path, err)
-			return
-		}
-		l.segs = l.segs[1:]
-		l.stats.Bytes -= old.bytes
-		l.stats.Segments--
-		l.stats.Retired++
-		mRetired.Inc()
-	}
-}
-
-// fsync forces the active segment to disk.
-func (l *Log) fsync() error {
-	if l.f == nil {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
 		mAppendErrors.Inc()
-		return fmt.Errorf("wal: fsync %s: %w", l.active.path, err)
 	}
-	l.stats.Synced++
-	mSynced.Inc()
-	l.lastSync = time.Now()
-	return nil
+	return last, err
 }
 
-// Sync flushes and fsyncs the active segment and persists the cursor —
-// a durability barrier callers can place wherever they need one.
+// Sync fsyncs the active segment and persists the cursor — a
+// durability barrier callers can place wherever they need one.
 func (l *Log) Sync() error {
-	if l.bw != nil {
-		if err := l.bw.Flush(); err != nil {
-			return fmt.Errorf("wal: flushing: %w", err)
-		}
-	}
-	if err := l.fsync(); err != nil {
+	if err := l.w.Sync(); err != nil {
 		return err
 	}
 	return l.saveCursor()
@@ -585,15 +255,15 @@ func (l *Log) Sync() error {
 // MarkProcessed advances the durable consumer cursor: every record at
 // or below seq has been fully processed by the consumer, so a restart
 // may treat them as already-reported history. The cursor is persisted
-// every Options.CursorEvery advances and on Sync/Close; report
-// emission across a crash boundary is therefore at-least-once, while
-// the log itself stays exactly-once.
+// every 4096 advances and on Sync/Close; report emission across a
+// crash boundary is therefore at-least-once, while the log itself
+// stays exactly-once.
 func (l *Log) MarkProcessed(seq uint64) {
 	if seq <= l.cursor {
 		return
 	}
 	l.cursor = seq
-	if l.cursor-l.cursorPersisted >= l.opts.CursorEvery {
+	if l.cursor-l.cursorPersisted >= cursorEvery {
 		if err := l.saveCursor(); err != nil {
 			telemetry.LogFirst("wal.cursor", "wal: persisting cursor: %v", err)
 		}
@@ -605,7 +275,7 @@ func (l *Log) saveCursor() error {
 	if l.cursor == l.cursorPersisted {
 		return nil
 	}
-	if err := saveCursor(l.opts.Dir, l.cursor); err != nil {
+	if err := saveCursor(l.dir, l.cursor); err != nil {
 		return err
 	}
 	l.cursorPersisted = l.cursor
@@ -613,16 +283,13 @@ func (l *Log) saveCursor() error {
 	return nil
 }
 
-// Close flushes, fsyncs, persists the cursor, and closes the log.
+// Close fsyncs and closes the active segment and persists the cursor.
 func (l *Log) Close() error {
-	var firstErr error
-	if err := l.saveCursor(); err != nil {
-		firstErr = err
+	err := l.saveCursor()
+	if cerr := l.w.Close(); err == nil {
+		err = cerr
 	}
-	if err := l.closeActive(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return err
 }
 
 // loadCursor reads the persisted consumer cursor (0 when absent or

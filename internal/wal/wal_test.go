@@ -14,8 +14,23 @@ import (
 	"time"
 
 	"gretel/internal/agent"
+	"gretel/internal/seglog"
 	"gretel/internal/trace"
 )
+
+// Shorthands for the shared record codec and segment naming.
+const (
+	recMagic0 = seglog.Magic0
+	recMagic1 = seglog.Magic1
+	recKind   = seglog.KindEvent
+	recHdrLen = seglog.HeaderLen
+)
+
+func segName(firstSeq uint64) string { return seglog.SegName("wal", firstSeq) }
+
+func encodeRecord(buf []byte, seq uint64, body []byte) []byte {
+	return seglog.EncodeRecord(buf, recKind, seq, body)
+}
 
 // testEvents builds n distinguishable events.
 func testEvents(n int) []trace.Event {
@@ -162,18 +177,6 @@ func TestRotationAndRetention(t *testing.T) {
 	}
 }
 
-func TestAgeRotation(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir, SegmentAge: time.Millisecond})
-	l.Append(testEvents(1)[0])
-	time.Sleep(5 * time.Millisecond)
-	l.Append(testEvents(1)[0])
-	if l.Stats().Rotated != 1 {
-		t.Fatalf("aged segment not rotated: %+v", l.Stats())
-	}
-	l.Close()
-}
-
 func TestFsyncPolicies(t *testing.T) {
 	evs := testEvents(50)
 	for _, tc := range []struct {
@@ -198,7 +201,7 @@ func TestFsyncPolicies(t *testing.T) {
 		}},
 	} {
 		dir := t.TempDir()
-		l, err := Open(Options{Dir: dir, Fsync: tc.fsync, FsyncInterval: time.Nanosecond})
+		l, err := Open(Options{Dir: dir, Fsync: tc.fsync})
 		if err != nil {
 			t.Fatalf("Open(%v): %v", tc.fsync, err)
 		}
@@ -358,7 +361,7 @@ func TestRecoveryGarbageBetweenRecords(t *testing.T) {
 
 func TestCursorPersistsAtomically(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir, CursorEvery: 1})
+	l, _ := Open(Options{Dir: dir})
 	for _, ev := range testEvents(10) {
 		seq, _ := l.Append(ev)
 		l.MarkProcessed(seq)
@@ -383,7 +386,7 @@ func TestCursorPersistsAtomically(t *testing.T) {
 
 func TestCursorClampedToDurableLog(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := Open(Options{Dir: dir, CursorEvery: 1})
+	l, _ := Open(Options{Dir: dir})
 	for _, ev := range testEvents(5) {
 		seq, _ := l.Append(ev)
 		l.MarkProcessed(seq)
@@ -608,7 +611,7 @@ func TestAppendRecoversAfterWriteError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			abandoned := mAbandoned.Value()
+			abandoned := segMetrics.Abandoned.Value()
 			var acked []trace.Event
 			for _, ev := range evs[:c.before] {
 				if _, err := l.Append(ev); err != nil {
@@ -626,7 +629,7 @@ func TestAppendRecoversAfterWriteError(t *testing.T) {
 				}
 				acked = append(acked, ev)
 			}
-			if got := mAbandoned.Value() - abandoned; got != 1 {
+			if got := segMetrics.Abandoned.Value() - abandoned; got != 1 {
 				t.Fatalf("wal.segments_abandoned += %d, want 1", got)
 			}
 			if err := l.Close(); err != nil {
@@ -655,15 +658,58 @@ func TestAppendRecoversAfterWriteError(t *testing.T) {
 			if stats.Duplicates != 0 {
 				t.Fatalf("recovery saw %d duplicate sequences", stats.Duplicates)
 			}
-			segs, err := listSegments(dir)
+			segs, err := seglog.List(dir, "wal")
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, s := range segs {
-				if _, ok, _ := lastGoodSeq(s.path); !ok {
-					t.Fatalf("recordless segment %s left behind", s.path)
+				if !holdsRecord(t, s.Path) {
+					t.Fatalf("recordless segment %s left behind", s.Path)
 				}
 			}
 		})
+	}
+}
+
+// holdsRecord reports whether the segment file holds an intact record.
+func holdsRecord(t *testing.T, path string) bool {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, _, _, err = seglog.ReadRecord(bufio.NewReader(f), recKind, nil)
+	return err == nil
+}
+
+// TestRecoveryQuarantinesUndecodableBody: a CRC-intact record whose
+// body is not a JSON event is a writer-side bug, not disk damage. The
+// reader quarantines it, keeps its sequence for gap accounting, and
+// leaves it out of the FirstSeq/LastSeq bounds.
+func TestRecoveryQuarantinesUndecodableBody(t *testing.T) {
+	dir := t.TempDir()
+	evs := testEvents(3)
+	var seg []byte
+	for i, ev := range evs {
+		body, _ := json.Marshal(&ev)
+		seg = encodeRecord(seg, uint64(i+1), body)
+	}
+	seg = encodeRecord(seg, 4, []byte("not json"))
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, stats := readAll(t, dir)
+	if len(got) != 3 || stats.Records != 3 || stats.Quarantined != 1 || stats.FirstSeq != 1 || stats.LastSeq != 3 {
+		t.Fatalf("recovered %d records, stats %+v; want 3 records over 1..3 and 1 quarantined", len(got), stats)
+	}
+
+	// A valid record after the bad one: no gap is counted for seq 4.
+	body, _ := json.Marshal(&evs[0])
+	seg = encodeRecord(seg, 5, body)
+	os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644)
+	got, stats = readAll(t, dir)
+	if len(got) != 4 || stats.Quarantined != 1 || stats.LastSeq != 5 {
+		t.Fatalf("recovered %d records, stats %+v; want 4 records ending at 5 and 1 quarantined", len(got), stats)
 	}
 }
